@@ -23,12 +23,16 @@ import (
 // write-behind target when the engine caches value words. In the LruIndex
 // deployment the cached uint64 is an index and evictions are clean; leave
 // write-behind disabled there.
+//
+// Gets take no lock, so a miss never parks behind a write-behind drain; Puts
+// serialize against each other only.
 type BTree struct {
 	srv *kvindex.Server
 
-	// wmu serializes arena writes against reads of the same slot; the
-	// B+ tree itself is read-only after load, so Gets share an RLock.
-	wmu sync.RWMutex
+	// wmu serializes Puts against each other. Gets take no lock: they
+	// resolve through kvindex.Server.Locate, which reads only the B+ tree
+	// (read-only after load) and never the arena Puts write.
+	wmu sync.Mutex
 
 	walksTaken   atomic.Uint64 // Gets resolved through the B+ tree
 	walksSkipped atomic.Uint64 // Gets short-circuited by a valid hint
@@ -66,9 +70,7 @@ func (b *BTree) GetHinted(ctx context.Context, key, hint uint64, hinted bool) (u
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	b.wmu.RLock()
-	idx, _, nodes, ok := b.srv.Resolve(key, hint, hinted)
-	b.wmu.RUnlock()
+	idx, nodes, ok := b.srv.Locate(key, hint, hinted)
 	if !ok {
 		b.nodesWalked.Add(uint64(nodes))
 		b.walksTaken.Add(1)

@@ -153,9 +153,9 @@ func (w *WriteBehind) drain(p dirtyPair) {
 				backoff = w.cfg.BackoffCap
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), w.cfg.Timeout)
+		ctx := newAttemptCtx(context.Background(), w.cfg.Timeout)
 		err := w.store.Put(ctx, p.key, p.val)
-		cancel()
+		ctx.cancel()
 		if err == nil {
 			w.puts.Inc()
 			return

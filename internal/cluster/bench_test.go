@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,7 +13,10 @@ import (
 // path=single queries the engine directly, path=local routes the same hits
 // through a one-node router (ring lookup, hot-key touch, breaker liveness
 // check, LocalPeer hop). The bench gate holds the local-owner overhead to
-// ≤1.3× the bare engine.
+// ≤1.3× the bare engine. path=fan and path=update price the multi-node
+// paths on a 3-node, Replicas-2 ring: hot-key reads fanned across replicas,
+// and updates to hot keys (owner plus replica) and cold keys (owner only).
+// All four are gated zero-alloc.
 func BenchmarkClusterRouter(b *testing.B) {
 	const keys = 4096
 	newFilled := func(b *testing.B) *engine.Engine {
@@ -95,6 +99,57 @@ func BenchmarkClusterRouter(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r.Query(res[i%len(res)])
+		}
+	})
+
+	// newFanRing joins 3 filled engines under a Replicas-2 router and
+	// publishes a hot set of keys that every replica holds.
+	newFanRing := func(b *testing.B) (*Router, []uint64) {
+		r := New(Config{Seed: testSeed, Replicas: 2, HeartbeatEvery: -1})
+		b.Cleanup(r.Close)
+		for i := 0; i < 3; i++ {
+			if err := r.Join(fmt.Sprintf("node-%d", i), NewLocalPeer(newFilled(b), testSeed)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		hot := make([]uint64, 64)
+		for i := range hot {
+			hot[i] = uint64(i + 1)
+			for j := uint32(0); j < 64; j++ {
+				r.hot.Touch(hot[i], j) // every 8th draw is sampled
+			}
+		}
+		r.hot.Publish()
+		for _, k := range hot {
+			if !r.hot.Hot(k) {
+				b.Fatalf("key %d missing from the published hot set", k)
+			}
+			if err := r.Update(k, k); err != nil { // fans to both replicas
+				b.Fatal(err)
+			}
+		}
+		return r, hot
+	}
+
+	b.Run("path=fan", func(b *testing.B) {
+		r, hot := newFanRing(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Query(hot[i%len(hot)])
+		}
+	})
+
+	b.Run("path=update", func(b *testing.B) {
+		r, hot := newFanRing(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := hot[i%len(hot)]
+			if i&1 == 1 {
+				k += keys // cold: never queried, so never hot
+			}
+			r.Update(k, uint64(i))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,7 +207,7 @@ func TestRouterDualReadWindow(t *testing.T) {
 			until:  time.Now().Add(time.Minute),
 		}},
 	}
-	manual.index(r.gate)
+	manual.index(r.gate, r.replicas())
 	r.state.Store(manual)
 	if v, ok, err := r.Query(key); !ok || v != 777 || err != nil {
 		t.Fatalf("dual read = (%d, %v, %v), want (777, true, nil)", v, ok, err)
@@ -287,5 +288,56 @@ func TestRouterHeartbeatAutoFail(t *testing.T) {
 		if m == "node-2" {
 			t.Fatal("dead node still a member")
 		}
+	}
+}
+
+// flakyPeer fails every every-th Query like an unreachable node and serves
+// the rest from the wrapped LocalPeer. Being a distinct type, it also keeps
+// the router off its devirtualized in-process path.
+type flakyPeer struct {
+	*LocalPeer
+	every uint64
+	n     atomic.Uint64
+}
+
+func (p *flakyPeer) Query(key uint64) (uint64, bool, error) {
+	if p.n.Add(1)%p.every == 0 {
+		return 0, false, ErrPeerDown
+	}
+	return p.LocalPeer.Query(key)
+}
+
+// TestRouterSporadicFailuresKeepBreakerClosed: a healthy peer that fails one
+// query in 200 must never trip its breaker (5 consecutive failures), even
+// when every key it serves has nonzero low bits — successes must count
+// whatever the keys look like.
+func TestRouterSporadicFailuresKeepBreakerClosed(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			r := New(Config{Seed: testSeed, HeartbeatEvery: -1})
+			t.Cleanup(r.Close)
+			for i := 0; i < nodes; i++ {
+				p := &flakyPeer{LocalPeer: NewLocalPeer(newTestEngine(t), testSeed), every: 200}
+				if err := r.Join(fmt.Sprintf("node-%d", i), p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const queries = 100_000
+			fails := 0
+			for i := 0; i < queries; i++ {
+				key := uint64(i)<<4 | uint64(1+i%15) // key&15 != 0
+				if _, _, err := r.Query(key); err != nil {
+					fails++
+				}
+			}
+			if fails == 0 {
+				t.Fatal("no query failed; the flaky peer is not in the path")
+			}
+			for _, id := range r.Members() {
+				if s := r.gate.Peer(id).State(); s != resilience.Closed {
+					t.Fatalf("%s breaker %v after %d sporadic failures in %d queries", id, s, fails, queries)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"github.com/p4lru/p4lru/internal/netproto"
@@ -78,18 +79,19 @@ func (r *Router) repairLoop() {
 // abandons the job — the next read or sweep will re-detect live divergence.
 func (r *Router) repairOne(j repairJob) {
 	st := r.state.Load()
-	if st.ring.Size() == 0 || st.peers[j.dst] == nil {
-		return
+	dst, member := slices.BinarySearch(st.ring.Members(), j.dst)
+	if !member {
+		return // the replica left the ring; nothing to re-fill
 	}
-	owner := st.ring.OwnerAt(st.ring.Pos(j.key))
-	if owner == j.dst {
+	owner := int(st.replicasAt(st.ring.Pos(j.key))[0])
+	if owner == dst {
 		return // ownership moved; the migration path owns this copy now
 	}
-	v, ok, err := r.queryPeer(st, owner, j.key)
+	v, ok, err := r.queryIdx(st, owner, j.key)
 	if err != nil || !ok {
 		return
 	}
-	if r.updatePeer(st, j.dst, j.key, v) == nil {
+	if r.updateIdx(st, dst, j.key, v) == nil {
 		r.repairsApplied.Inc()
 	}
 }
@@ -123,20 +125,22 @@ func (r *Router) sweepOnce() {
 		return
 	}
 	r.sweeps.Inc()
+	members := st.ring.Members()
 	for _, key := range keys {
 		pos := st.ring.Pos(key)
-		ids := st.ring.ReplicasAt(pos, r.replicas())
-		if len(ids) < 2 {
+		reps := st.replicasAt(pos)
+		if len(reps) < 2 {
 			continue
 		}
 		// pos-1 wraps at 0; arcContains treats from > to as wrapping, so the
 		// arc still pins exactly position pos.
 		arcs := [][2]uint64{{pos - 1, pos}}
-		want, err := r.peerDigest(st, ids[0], arcs)
+		want, err := r.peerDigest(st, members[reps[0]], arcs)
 		if err != nil {
 			continue
 		}
-		for _, id := range ids[1:] {
+		for _, i := range reps[1:] {
+			id := members[i]
 			got, err := r.peerDigest(st, id, arcs)
 			if err != nil {
 				continue

@@ -147,7 +147,7 @@ func TestReadRepairHealsMissingReplica(t *testing.T) {
 	}
 	// Make it hot, then force a publish so the fan path engages.
 	for i := 0; i < 4096; i++ {
-		r.hot.Touch(key)
+		r.hot.Touch(key, uint32(i))
 	}
 	r.hot.Publish()
 	if !r.hot.Hot(key) {
@@ -182,7 +182,7 @@ func TestSweepRepairsValueDivergence(t *testing.T) {
 	})
 	const key = uint64(54321)
 	for i := 0; i < 4096; i++ {
-		r.hot.Touch(key)
+		r.hot.Touch(key, uint32(i))
 	}
 	r.hot.Publish()
 	if !r.hot.Hot(key) {

@@ -30,9 +30,11 @@ func benchKeys() []uint64 {
 
 // BenchmarkEngine measures serving throughput (one Query + one batched
 // Submit per op) as the shard count scales 1 → GOMAXPROCS. The memory
-// budget is fixed, so this isolates the concurrency win: per-op cost should
-// fall as shards climb, >2x ops/sec at 8 shards vs 1 on a multi-core
-// machine.
+// budget is fixed, so this isolates what sharding costs or buys. Reads are
+// wait-free at any shard count, so per-op cost only falls as shards climb
+// where writer traffic convoys on shard locks across many cores; on a
+// 2-vCPU host the curve is flat (BENCH_10: 26.0 ns/op at 1 shard, 26.3 at
+// 8). It is a regression guard, not a scaling claim.
 func BenchmarkEngine(b *testing.B) {
 	shardCounts := []int{1, 2, 4, 8}
 	if max := runtime.GOMAXPROCS(0); max > 8 {

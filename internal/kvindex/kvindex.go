@@ -65,7 +65,7 @@ func (s *Server) IndexHeight() int { return s.index.Height() }
 // (nodes = 0) or through the B+ tree, returning the index, the raw 64-byte
 // value, and the walk's node count.
 func (s *Server) Resolve(key uint64, cachedIndex uint64, cached bool) (idx uint64, value []byte, nodes int, ok bool) {
-	idx, _, nodes, ok = s.lookup(key, cachedIndex, cached)
+	idx, nodes, ok = s.Locate(key, cachedIndex, cached)
 	if !ok {
 		return 0, nil, nodes, false
 	}
@@ -74,9 +74,9 @@ func (s *Server) Resolve(key uint64, cachedIndex uint64, cached bool) (idx uint6
 
 // Write stores an 8-byte value word at key's arena slot, returning the B+
 // tree walk cost of locating it — the server-side write a write-behind
-// drain performs. It is not safe to call concurrently with reads of the
-// same slot; callers that mix the two (the backing-store adapter) serialize
-// around it.
+// drain performs. It is not safe to call concurrently with another Write or
+// with Resolve of the same slot; Locate never reads the arena and needs no
+// serialization against it.
 func (s *Server) Write(key, val uint64) (nodes int, ok bool) {
 	off, nodes, ok := s.index.Get(key)
 	if !ok {
@@ -86,21 +86,24 @@ func (s *Server) Write(key, val uint64) (nodes int, ok bool) {
 	return nodes, true
 }
 
-// lookup resolves a key: via the cached index if provided (nodes = 0), else
-// through the B+ tree. It returns the index, the first value word, and the
-// node count of the walk.
-func (s *Server) lookup(key uint64, cachedIndex uint64, cached bool) (idx uint64, val uint64, nodes int, ok bool) {
-	if cached {
-		if cachedIndex+8 <= uint64(len(s.arena)) {
-			return cachedIndex, binary.LittleEndian.Uint64(s.arena[cachedIndex:]), 0, true
-		}
-		// A corrupt cached index falls back to the walk.
+// Locate resolves key to its database index without touching the value
+// arena: via the cached index when hinted and in bounds (nodes = 0), else
+// through the B+ tree walk. The tree is read-only after NewServer, so Locate
+// is safe to call concurrently with itself and with Write.
+func (s *Server) Locate(key, hint uint64, hinted bool) (idx uint64, nodes int, ok bool) {
+	if hinted && hint+8 <= uint64(len(s.arena)) {
+		return hint, 0, true
 	}
-	off, nodes, ok := s.index.Get(key)
+	return s.index.Get(key) // no hint, or a corrupt one: walk
+}
+
+// lookup is Locate plus the first value word at the resolved index.
+func (s *Server) lookup(key uint64, cachedIndex uint64, cached bool) (idx uint64, val uint64, nodes int, ok bool) {
+	idx, nodes, ok = s.Locate(key, cachedIndex, cached)
 	if !ok {
 		return 0, 0, nodes, false
 	}
-	return off, binary.LittleEndian.Uint64(s.arena[off:]), nodes, true
+	return idx, binary.LittleEndian.Uint64(s.arena[idx:]), nodes, true
 }
 
 // Config parameterizes a run.

@@ -162,3 +162,34 @@ func TestFewerQueriesThanThreads(t *testing.T) {
 		t.Errorf("queries = %d, want 3", res.Queries)
 	}
 }
+
+// TestLocateMatchesResolve: Locate is Resolve without the arena read, so
+// it must return the same (idx, nodes, ok) for every way a lookup can go.
+func TestLocateMatchesResolve(t *testing.T) {
+	srv := NewServer(10000)
+	walkIdx, _, _, _ := srv.Resolve(42, 0, false)
+	for _, c := range []struct {
+		name   string
+		key    uint64
+		hint   uint64
+		hinted bool
+	}{
+		{"unhinted", 42, 0, false},
+		{"unhinted-ignores-hint", 42, 7 * ValueSize, false},
+		{"valid-hint", 42, walkIdx, true},
+		{"hint-of-another-slot", 42, 7 * ValueSize, true}, // trusted: the server cannot tell
+		{"corrupt-hint", 42, 1 << 60, true},
+		{"hint-at-arena-end", 42, uint64(10000*ValueSize - 4), true},
+		{"absent-unhinted", 20000, 0, false},
+		{"absent-corrupt-hint", 20000, 1 << 60, true},
+		{"key-zero", 0, 0, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			idx, _, nodes, ok := srv.Resolve(c.key, c.hint, c.hinted)
+			lidx, lnodes, lok := srv.Locate(c.key, c.hint, c.hinted)
+			if lidx != idx || lnodes != nodes || lok != ok {
+				t.Fatalf("Locate = (%d, %d, %v), Resolve = (%d, %d, %v)", lidx, lnodes, lok, idx, nodes, ok)
+			}
+		})
+	}
+}

@@ -110,6 +110,10 @@ type Breaker struct {
 	// liveState mirrors state for the lock-free Live() read path; setState
 	// is the only writer.
 	liveState atomic.Int32
+	// clean mirrors "closed, a full window of successes, no failure run" —
+	// the state a success cannot change — for RecordLive's lock-free skip.
+	// Written under mu.
+	clean atomic.Bool
 
 	mu          sync.Mutex
 	state       State
@@ -117,6 +121,7 @@ type Breaker struct {
 	window      []bool    // ring of recent outcomes (true = failure)
 	windowLen   int       // outcomes recorded, ≤ len(window)
 	windowPos   int       // next ring slot
+	windowFails int       // failures among the windowLen recorded outcomes
 	openedAt    time.Time // when the breaker last tripped
 	probes      int       // probes admitted this half-open round
 	probeOK     int       // consecutive probe successes
@@ -197,18 +202,38 @@ func (b *Breaker) Record(success bool) {
 	b.notify(from, to)
 }
 
+// RecordLive is Record for calls made on the Live() fast path. A success on
+// a clean breaker — closed, a full window of successes, no failure run —
+// changes nothing, so RecordLive skips it after one atomic load instead of
+// taking the mutex: a healthy breaker's hot path writes no shared memory.
+// Every other outcome is recorded as Record does, so the breaker trips
+// exactly as if every call had been recorded.
+func (b *Breaker) RecordLive(success bool) {
+	if b == nil || (success && b.clean.Load()) {
+		return
+	}
+	b.Record(success)
+}
+
 func (b *Breaker) recordLocked(success bool) {
 	switch b.state {
 	case Closed:
+		full := b.windowLen == len(b.window)
+		if full && b.window[b.windowPos] {
+			b.windowFails-- // a failure slides out of the window
+		}
 		b.window[b.windowPos] = !success
 		b.windowPos = (b.windowPos + 1) % len(b.window)
-		if b.windowLen < len(b.window) {
+		if !full {
 			b.windowLen++
 		}
 		if success {
 			b.consecutive = 0
+			b.clean.Store(b.windowFails == 0 && b.windowLen == len(b.window))
 			return
 		}
+		b.windowFails++
+		b.clean.Store(false)
 		b.consecutive++
 		if b.consecutive >= b.cfg.ConsecutiveFailures || b.ratioTripped() {
 			b.trip()
@@ -223,7 +248,7 @@ func (b *Breaker) recordLocked(success bool) {
 		if b.probeOK >= b.cfg.HalfOpenProbes {
 			b.setState(Closed)
 			b.consecutive = 0
-			b.windowLen, b.windowPos = 0, 0
+			b.windowLen, b.windowPos, b.windowFails = 0, 0, 0
 		}
 	case Open:
 		// A straggler from before the trip; its outcome is stale news.
@@ -251,13 +276,7 @@ func (b *Breaker) ratioTripped() bool {
 	if b.cfg.FailureRatio <= 0 || b.windowLen < len(b.window)/2 {
 		return false
 	}
-	fails := 0
-	for i := 0; i < b.windowLen; i++ {
-		if b.window[i] {
-			fails++
-		}
-	}
-	return float64(fails) >= b.cfg.FailureRatio*float64(b.windowLen)
+	return float64(b.windowFails) >= b.cfg.FailureRatio*float64(b.windowLen)
 }
 
 // trip moves to Open and stamps the cool-down start. Caller holds b.mu.
@@ -266,7 +285,7 @@ func (b *Breaker) trip() {
 	b.openedAt = b.cfg.Clock()
 	b.opens.Inc()
 	b.consecutive = 0
-	b.windowLen, b.windowPos = 0, 0
+	b.windowLen, b.windowPos, b.windowFails = 0, 0, 0
 }
 
 // setState records the transition and mirrors it to the state gauge
@@ -275,6 +294,7 @@ func (b *Breaker) trip() {
 func (b *Breaker) setState(s State) {
 	b.state = s
 	b.liveState.Store(int32(s))
+	b.clean.Store(false) // every transition empties the window
 	b.stateGauge.Set(float64(s))
 }
 
@@ -289,10 +309,10 @@ func (b *Breaker) notify(from, to State) {
 // Live reports whether the breaker is closed, from an atomic mirror of the
 // state — one load, no lock. It is the hot-path gate for callers that issue
 // many calls per breaker (a cluster router fanning queries across peers):
-// while Live() is true the call proceeds without Allow's mutex, with
-// failures always Recorded and successes Recorded on a sample; once Live()
-// turns false the caller falls back to the full Allow/Record protocol,
-// which owns the open → half-open probe bookkeeping. A nil breaker is live.
+// while Live() is true the call proceeds without Allow's mutex and reports
+// its outcome through RecordLive; once Live() turns false the caller falls
+// back to the full Allow/Record protocol, which owns the open → half-open
+// probe bookkeeping. A nil breaker is live.
 func (b *Breaker) Live() bool {
 	return b == nil || b.liveState.Load() == int32(Closed)
 }

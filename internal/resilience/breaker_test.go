@@ -226,3 +226,44 @@ func TestBreakerOnStateChange(t *testing.T) {
 		t.Fatalf("re-entrant State() inside the final callback = %v, want Closed", reentrant)
 	}
 }
+
+// TestRecordLiveMatchesRecord: RecordLive skips only successes that cannot
+// change the breaker, so a breaker fed every outcome through RecordLive
+// trips, and carries failure evidence, exactly like one fed through Record.
+func TestRecordLiveMatchesRecord(t *testing.T) {
+	for _, failEvery := range []int{2, 5, 9, 40} {
+		clk := newClock()
+		cfg := BreakerConfig{ConsecutiveFailures: 3, FailureRatio: 0.2, Window: 16, OpenFor: time.Second}
+		all, live := testBreaker(cfg, clk), testBreaker(cfg, clk)
+		x := uint64(failEvery)
+		for i := 0; i < 20_000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			ok := x%uint64(failEvery) != 0
+			if i%997 == 0 {
+				clk.Advance(2 * time.Second) // let open breakers probe and close
+			}
+			if all.Live() != live.Live() {
+				t.Fatalf("failEvery=%d op %d: Live %v vs %v", failEvery, i, all.Live(), live.Live())
+			}
+			if all.Live() {
+				all.Record(ok)
+				live.RecordLive(ok)
+			} else if a, l := all.Allow(), live.Allow(); a != l {
+				t.Fatalf("failEvery=%d op %d: Allow %v vs %v", failEvery, i, a, l)
+			} else if a {
+				all.Record(ok)
+				live.Record(ok)
+			}
+			if all.state != live.state || all.consecutive != live.consecutive ||
+				all.windowLen != live.windowLen || all.windowFails != live.windowFails {
+				t.Fatalf("failEvery=%d op %d: Record (%v c=%d len=%d fails=%d) vs RecordLive (%v c=%d len=%d fails=%d)",
+					failEvery, i, all.state, all.consecutive, all.windowLen, all.windowFails,
+					live.state, live.consecutive, live.windowLen, live.windowFails)
+			}
+		}
+	}
+	var nilB *Breaker
+	nilB.RecordLive(false) // nil breakers are inert
+}
