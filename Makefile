@@ -2,16 +2,16 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_12.json
+BENCH_OUT ?= BENCH_13.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_10.json
+BENCH_BASE ?= BENCH_12.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
 # so it gets its own much smaller fixed count.
 BENCH_NET_TIME ?= 50000x
 
-.PHONY: all build test race chaos bench bench-all servebench verify examples fmt vet clean
+.PHONY: all build test race chaos fuzz bench bench-all servebench verify examples fmt vet clean
 
 all: build test
 
@@ -30,6 +30,14 @@ race:
 # handoff) under the race detector.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/resilience/ ./internal/engine/ ./internal/cluster/
+
+# fuzz runs every flat-core differential fuzz target in internal/lru for
+# 10s each (go test -fuzz takes one target per run); `go test` alone only
+# replays their seed corpora.
+fuzz:
+	for f in $$($(GO) test -list '^Fuzz.*VsGeneric$$' ./internal/lru/ | grep '^Fuzz'); do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/lru/ || exit 1; \
+	done
 
 # bench runs the core benchmark ladder (flat vs generic arrays at every
 # data-plane unit capacity plus the series connection, flat query paths,

@@ -359,7 +359,7 @@ func (e *Engine) safeApply(s *shard, batch []Op) (ok bool) {
 }
 
 // applyBatch applies one op batch under the shard mutator lock. A cache that
-// implements policy.BatchUpdater (the flat P4LRU3 core) consumes the queued
+// implements policy.BatchUpdater (the flat P4LRU cores) consumes the queued
 // batch directly — ops are policy.Op, so no conversion happens and the
 // whole apply loop allocates nothing; anything else gets the per-op Update
 // loop. With an eviction hook configured the batch goes through

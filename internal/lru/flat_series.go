@@ -4,7 +4,7 @@ import "fmt"
 
 // FlatSeries is the series-connection technique (§3.2) over flat cores: L
 // seqlock-versioned flat arrays linked in series, the serving counterpart
-// of Series exactly as FlatArray3 is the serving counterpart of Array. The
+// of Series exactly as the flat core is the serving counterpart of Array. The
 // level structure, per-level hash seeds and the query/reply split are
 // identical to Series (the differential tests pin this), so LruIndex-style
 // deployments keep their replacement behaviour while gaining the flat

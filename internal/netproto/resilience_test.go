@@ -212,3 +212,52 @@ func TestServerShedderAndHealth(t *testing.T) {
 		t.Fatalf("accounting: queries=%d replies=%d shed=%d", st.Queries, st.Replies, st.Shed)
 	}
 }
+
+// TestSwitchDropsReplyWithBadLevel sends every server-facing socket of the
+// switch a reply whose cached_flag names a series level its cache does not
+// have. The series reply path panics on such a level, so the switch must
+// drop the datagram at decode — unapplied, like any undecodable one — and
+// keep serving the query/reply round trip.
+func TestSwitchDropsReplyWithBadLevel(t *testing.T) {
+	_, sw := startStack(t, 1000, 2, 64)
+	const badKey = 4242
+	buf := make([]byte, packetBufSize)
+	n := PutReply(buf, 200, badKey, 7, nil)
+	for _, sc := range sw.serverConns {
+		conn, err := net.DialUDP("udp", nil, sc.UDP().LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(buf[:n]); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	// Every reader has taken its bad reply off the socket once the
+	// switch's receive count covers them.
+	deadline := time.Now().Add(5 * time.Second)
+	for sw.Stats().RecvPackets < int64(len(sw.serverConns)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("switch read %d of %d bad replies", sw.Stats().RecvPackets, len(sw.serverConns))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cl, err := NewClient(sw.Addr(), ClientConfig{Items: 1000, Skew: 1.1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i, wantCached := range []bool{false, true} {
+		res, err := cl.Query(42)
+		if err != nil {
+			t.Fatalf("query %d after the bad reply: %v", i, err)
+		}
+		if res.Cached != wantCached || !res.Valid {
+			t.Fatalf("query %d after the bad reply: cached=%v valid=%v, want cached=%v valid", i, res.Cached, res.Valid, wantCached)
+		}
+	}
+	if _, _, ok := sw.Engine().Query(badKey); ok {
+		t.Fatal("the bad reply was applied to the cache")
+	}
+}

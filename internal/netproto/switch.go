@@ -45,6 +45,10 @@ type Switch struct {
 	eng    *engine.Engine
 	tracer *span.Tracer
 	batch  int
+	// levels is the series level count of the cache the switch built (0
+	// for unleveled policies): the largest cached_flag it can stamp. A
+	// reply carrying a higher flag was not stamped here and is dropped.
+	levels int
 
 	// peers routes replies back to the querying client (the role the
 	// network's addressing plays on a real switch path). Striped so
@@ -178,6 +182,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		eng:        eng,
 		tracer:     cfg.Span,
 		batch:      cfg.Batch,
+		levels:     cfg.Policy.SeriesLevels(),
 		peerHash:   hashing.New(cfg.Policy.Seed ^ 0x9ee2),
 	}
 	for i := range sw.peers {
@@ -437,7 +442,10 @@ func (sw *Switch) serverLoop(sc, cc *batchio.Conn) {
 			d := &ds[i]
 			sp := sw.tracer.Start(0, 0)
 			var msg Message
-			if err := msg.Unmarshal(d.Bytes()); err != nil || msg.Type != MsgReply {
+			// A reply naming a level the cache does not have would make
+			// the series reply path panic; drop it like an undecodable
+			// datagram, unapplied and unforwarded.
+			if err := msg.Unmarshal(d.Bytes()); err != nil || msg.Type != MsgReply || int(msg.CachedFlag) > sw.levels {
 				continue
 			}
 			sp.SetKey(msg.Key)

@@ -72,7 +72,7 @@ type Cache interface {
 // ConcurrentReader is an optional Cache capability: a policy whose Query is
 // safe to run concurrently with a single writer's Update returns true, and
 // the serving engine then queries it with no lock at all. The flat cores
-// (FlatP4LRU2/3/4, FlatSeries) implement it via their per-unit seqlocks, as
+// (FlatP4LRU, FlatSeries) implement it via their per-unit seqlocks, as
 // does Synchronized, which takes its own read lock internally. The generic
 // interface-based policies mutate multi-word buckets non-atomically and do
 // not implement it — the engine wraps those in Synchronized.

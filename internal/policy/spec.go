@@ -190,6 +190,19 @@ func SeriesMemBytes(levels, unitCap, units int) int {
 	return levels * units * (unitCap*bytesPerEntryKV + bytesPerUnitMeta)
 }
 
+// SeriesLevels is the level count of the series cache s describes, with
+// the default applied: the largest 1-based level Token that cache issues.
+// It is 0 for every other kind, whose caches issue only NoToken.
+func (s Spec) SeriesLevels() int {
+	switch {
+	case s.Kind != KindSeries:
+		return 0
+	case s.Levels == 0:
+		return 4
+	}
+	return s.Levels
+}
+
 // NewFromSpec constructs the cache a Spec describes. Zero-valued fields get
 // defaults: DefaultMemBytes of memory, 4 levels and unit capacity 3 for
 // series, NewForMemory's timeout/lambda defaults for the baselines.
@@ -205,10 +218,7 @@ func NewFromSpec(s Spec) (Cache, error) {
 		return nil, fmt.Errorf("policy: memory budget %dB too small", mem)
 	}
 	if s.Kind == KindSeries {
-		levels := s.Levels
-		if levels == 0 {
-			levels = 4
-		}
+		levels := s.SeriesLevels()
 		unitCap := s.UnitCap
 		if unitCap == 0 {
 			unitCap = 3
