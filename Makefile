@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_13.json
+BENCH_OUT ?= BENCH_14.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_12.json
+BENCH_BASE ?= BENCH_13.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -67,7 +67,8 @@ fuzz:
 # the same bar holds with the full self-healing stack armed (gossip
 # membership, read-repair queue + sweeper, hinted handoff): path=selfheal.
 # The multi-node paths on a 3-node, Replicas-2 ring — hot-key fan reads
-# (path=fan) and hot + cold updates (path=update) — must not allocate.
+# (path=fan), hot + cold updates (path=update) and Zipf queries from every
+# core with hot-key tracking live (path=hot-parallel) — must not allocate.
 bench:
 	{ $(GO) test -run '^$$' -bench 'FlatVsGeneric|FlatQuery|FlatReaders|Engine|Tiered|Breaker|Shedder' -benchmem \
 		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ \
@@ -102,6 +103,7 @@ bench:
 		-zeroalloc 'ClusterRouter/path=selfheal' \
 		-zeroalloc 'ClusterRouter/path=fan' \
 		-zeroalloc 'ClusterRouter/path=update' \
+		-zeroalloc 'ClusterRouter/path=hot-parallel' \
 		-baseline $(BENCH_BASE) \
 		-within 'EngineQuery=3' \
 		-within 'FlatQuery/core=flat=3' \

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +18,8 @@ import (
 // ≤1.3× the bare engine. path=fan and path=update price the multi-node
 // paths on a 3-node, Replicas-2 ring: hot-key reads fanned across replicas,
 // and updates to hot keys (owner plus replica) and cold keys (owner only).
-// All four are gated zero-alloc.
+// path=hot-parallel queries a Zipf stream from every core on that ring with
+// hot-key tracking live. All five router paths are gated zero-alloc.
 func BenchmarkClusterRouter(b *testing.B) {
 	const keys = 4096
 	newFilled := func(b *testing.B) *engine.Engine {
@@ -138,6 +141,29 @@ func BenchmarkClusterRouter(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r.Query(hot[i%len(hot)])
 		}
+	})
+
+	// path=hot-parallel drives the hot-key tracker the way a serving cluster
+	// does: every core queries one seeded Zipf(1.2) stream on the fan ring,
+	// so sampled touches, sketch adds, prunes and publishes race each other
+	// between owner and fan reads.
+	b.Run("path=hot-parallel", func(b *testing.B) {
+		r, _ := newFanRing(b)
+		z := rand.NewZipf(rand.New(rand.NewSource(int64(testSeed))), 1.2, 1, keys-1)
+		stream := make([]uint64, 1<<16)
+		for i := range stream {
+			stream[i] = z.Uint64() + 1
+		}
+		var offset atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(offset.Add(int64(len(stream) / 8))) // each goroutine starts elsewhere
+			for pb.Next() {
+				r.Query(stream[i%len(stream)])
+				i++
+			}
+		})
 	})
 
 	b.Run("path=update", func(b *testing.B) {

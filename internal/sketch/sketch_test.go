@@ -117,6 +117,26 @@ func TestCUNeverUndercountsAndBeatsCM(t *testing.T) {
 	}
 }
 
+// TestCountMinAddZeroAlloc pins Add to the stack for both update rules at
+// the depths the repo uses; the cluster hot-key tracker calls CU Add on
+// every sampled query. Depth 9 exercises the heap fallback for correctness.
+func TestCountMinAddZeroAlloc(t *testing.T) {
+	for _, sk := range []*CountMin{NewCountMin(4, 1<<10, time.Second, 1), NewCU(4, 1<<10, time.Second, 1), NewCU(8, 1<<10, 0, 1)} {
+		var key uint64
+		if n := testing.AllocsPerRun(1000, func() {
+			key++
+			sk.Add(key%512, 1, time.Duration(key)*time.Microsecond)
+		}); n != 0 {
+			t.Errorf("%s depth %d: Add allocates %.1f times per call", sk.Name(), len(sk.rows), n)
+		}
+	}
+	deep := NewCU(9, 1<<10, 0, 1)
+	deep.Add(7, 3, 0)
+	if got := deep.Add(7, 2, 0); got != 5 || deep.Estimate(7, 0) != 5 {
+		t.Errorf("depth-9 CU: Add = %d, Estimate = %d, want 5", got, deep.Estimate(7, 0))
+	}
+}
+
 func TestCountMinReset(t *testing.T) {
 	period := time.Millisecond
 	cm := NewCountMin(2, 256, period, 5)
