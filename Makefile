@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_14.json
+BENCH_OUT ?= BENCH_15.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_13.json
+BENCH_BASE ?= BENCH_14.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -48,7 +48,8 @@ fuzz:
 # the ≥1.4x bar (ns/op ≤ 0.714× generic) on unit2/unit4/series, if Query
 # under a live writer degrades as readers are added (readers=8 vs readers=1
 # — wait-free reads must not convoy; a lenient 1.1 bound absorbs scheduler
-# noise on small hosts), if a hit path allocates (with or without tracing),
+# noise on small hosts), if a hit path allocates (with or without tracing)
+# or recording into an obs.Histogram from every core does,
 # if tracing at the default sampling rate costs more than 5% of batch
 # throughput (the TraceOverhead pair runs -count=10 and benchjson keeps each
 # side's fastest run, so the tight ratio gate is noise-robust), or if a hit
@@ -70,8 +71,8 @@ fuzz:
 # (path=fan), hot + cold updates (path=update) and Zipf queries from every
 # core with hot-key tracking live (path=hot-parallel) — must not allocate.
 bench:
-	{ $(GO) test -run '^$$' -bench 'FlatVsGeneric|FlatQuery|FlatReaders|Engine|Tiered|Breaker|Shedder' -benchmem \
-		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ \
+	{ $(GO) test -run '^$$' -bench 'FlatVsGeneric|FlatQuery|FlatReaders|Engine|Tiered|Breaker|Shedder|HistogramObserve' -benchmem \
+		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ ./internal/obs/ \
 	&& $(GO) test -run '^$$' -bench 'TraceOverhead' -benchmem \
 		-benchtime=$(BENCH_TIME) -count=10 ./internal/engine/ \
 	&& $(GO) test -run '^$$' -bench 'WireLadder|NetDecode' -benchmem \
@@ -94,6 +95,7 @@ bench:
 		-zeroalloc 'Tiered/op=hit-traced' \
 		-zeroalloc 'BreakerAllow' \
 		-zeroalloc 'ShedderAdmit' \
+		-zeroalloc 'HistogramObserve' \
 		-maxratio 'TraceOverhead/trace=on<=1.05*TraceOverhead/trace=off' \
 		-maxratio 'WireLadder/batch=64<=0.5*WireLadder/batch=1' \
 		-zeroalloc 'NetDecode' \

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/obs"
 	"github.com/p4lru/p4lru/internal/obs/span"
-	"github.com/p4lru/p4lru/internal/quantile"
 )
 
 // This file is the replay command's live UI: a one-line progress ticker
@@ -20,32 +20,13 @@ import (
 // tracer ring snapshots — so they never perturb the replay workers beyond
 // the snapshot cost itself.
 
-// histDelta returns the per-interval histogram between two cumulative
-// snapshots, so quantiles reflect the last interval instead of the whole
-// run. Falls back to cur when the shapes differ (first frame, new metric).
-func histDelta(prev, cur obs.HistogramSnapshot) obs.HistogramSnapshot {
-	if len(prev.Counts) != len(cur.Counts) || cur.Count < prev.Count {
-		return cur
-	}
-	d := obs.HistogramSnapshot{
-		Count:  cur.Count - prev.Count,
-		Sum:    cur.Sum - prev.Sum,
-		Bounds: cur.Bounds,
-		Counts: make([]uint64, len(cur.Counts)),
-	}
-	for i := range cur.Counts {
-		d.Counts[i] = cur.Counts[i] - prev.Counts[i]
-	}
-	return d
-}
-
-// fmtDur renders a histogram quantile (in seconds) compactly; "-" when the
+// fmtDur renders a duration histogram's quantile compactly; "-" when the
 // histogram saw nothing.
 func fmtDur(h obs.HistogramSnapshot, q float64) string {
 	if h.Count == 0 {
 		return "-"
 	}
-	return time.Duration(h.Quantile(q) * float64(time.Second)).Round(time.Microsecond).String()
+	return time.Duration(h.Quantile(q)).Round(time.Microsecond).String()
 }
 
 // startProgress runs the default one-line ticker on stderr: packet count,
@@ -77,8 +58,13 @@ func startProgress(reg *obs.Registry, hits, queries *atomic.Uint64, start time.T
 				}
 				missP99 := "-"
 				if reg != nil {
+					// The last interval only: Sub the previous frame's
+					// snapshot from a copy, keeping cur as the next base.
 					cur := reg.Snapshot().Histograms["backing_miss_latency_seconds"]
-					missP99 = fmtDur(histDelta(prevMiss, cur), 0.99)
+					d := cur
+					d.Counts = slices.Clone(cur.Counts)
+					d.Sub(&prevMiss)
+					missP99 = fmtDur(d, 0.99)
 					prevMiss = cur
 				}
 				fmt.Fprintf(os.Stderr,
@@ -122,7 +108,7 @@ var consoleStages = []span.Stage{
 
 // startConsole runs the full-screen live dashboard on stderr: run header,
 // per-shard queue-depth heatmap, per-stage p50/p99 (per-interval histogram
-// deltas), a throughput sparkline, P² quantiles over the tracer's captured
+// deltas), a throughput sparkline, quantiles over the tracer's captured
 // ops, and the current slowest waterfalls. The returned func stops it and
 // leaves the last frame on screen.
 func startConsole(eng *engine.Engine, tracer *span.Tracer, reg *obs.Registry,
@@ -134,11 +120,10 @@ func startConsole(eng *engine.Engine, tracer *span.Tracer, reg *obs.Registry,
 		var prevQ uint64
 		prevT := start
 		prevStage := map[span.Stage]obs.HistogramSnapshot{}
-		// P² estimators over every op the tracer captures (tail + uniform):
-		// constant memory, no stored samples, per the quantile package.
-		capP50, capP99 := quantile.New(0.5), quantile.New(0.99)
+		// Quantiles over every op the tracer captures (tail + uniform).
+		captures := obs.NewHistogram(obs.UnitSeconds)
 		var lastCapID uint64
-		var xs, ys []float64 // throughput sparkline, last 60 frames
+		var xs, ys []float64             // throughput sparkline, last 60 frames
 		fmt.Fprint(os.Stderr, "\033[2J") // clear once; frames repaint from home
 		tick := time.NewTicker(500 * time.Millisecond)
 		defer tick.Stop()
@@ -169,7 +154,9 @@ func startConsole(eng *engine.Engine, tracer *span.Tracer, reg *obs.Registry,
 					fmt.Fprintf(&b, "\n%-12s %12s %12s\n", "stage", "p50", "p99")
 					for _, st := range consoleStages {
 						cur := snap.Histograms[`span_stage_seconds{stage="`+st.String()+`"}`]
-						d := histDelta(prevStage[st], cur)
+						d, prev := cur, prevStage[st]
+						d.Counts = slices.Clone(cur.Counts)
+						d.Sub(&prev)
 						prevStage[st] = cur
 						fmt.Fprintf(&b, "%-12s %12s %12s\n", st.String(), fmtDur(d, 0.50), fmtDur(d, 0.99))
 					}
@@ -188,8 +175,7 @@ func startConsole(eng *engine.Engine, tracer *span.Tracer, reg *obs.Registry,
 						if rec.ID > maxSeen {
 							maxSeen = rec.ID
 						}
-						capP50.Add(float64(rec.Total))
-						capP99.Add(float64(rec.Total))
+						captures.Observe(rec.Total)
 					}
 					lastCapID = maxSeen
 					slowest := recs
@@ -204,10 +190,11 @@ func startConsole(eng *engine.Engine, tracer *span.Tracer, reg *obs.Registry,
 						}
 						slowest = top[:3]
 					}
+					capSnap := captures.Snapshot()
 					fmt.Fprintf(&b, "\nspans recorded=%d captured=%d tail>%v · captured p50=%v p99=%v\n",
 						recorded, captured, tracer.TailThreshold().Round(time.Microsecond),
-						time.Duration(capP50.Value()).Round(time.Microsecond),
-						time.Duration(capP99.Value()).Round(time.Microsecond))
+						time.Duration(capSnap.Quantile(0.5)).Round(time.Microsecond),
+						time.Duration(capSnap.Quantile(0.99)).Round(time.Microsecond))
 					fmt.Fprintln(&b, "slowest ops:")
 					for _, rec := range slowest {
 						fmt.Fprintf(&b, "  %s\n", rec.Waterfall())

@@ -416,7 +416,7 @@ func reportBacking(reg *obs.Registry, spec string, loadErrs uint64, wb *backing.
 	snap := reg.Snapshot()
 	h := snap.Histograms["backing_miss_latency_seconds"]
 	secs := func(q float64) time.Duration {
-		return time.Duration(h.Quantile(q) * float64(time.Second)).Round(time.Microsecond)
+		return time.Duration(h.Quantile(q)).Round(time.Microsecond)
 	}
 	fmt.Printf("backing=%s loadErrors=%d\n", spec, loadErrs)
 	fmt.Printf("missLatency n=%d p50=%v p90=%v p99=%v\n",

@@ -126,9 +126,7 @@ func NewLoader(store Store, cfg LoaderConfig) *Loader {
 		l.hedges = r.Counter("backing_hedges_total")
 		l.errs = r.Counter("backing_errors_total")
 		l.inflight = r.Gauge("backing_inflight")
-		// 10µs .. ~40s in ×2 steps: store round trips through full
-		// retry-budget failures.
-		l.missLatency = r.Histogram("backing_miss_latency_seconds", obs.ExponentialBuckets(10e-6, 2, 22))
+		l.missLatency = r.Histogram("backing_miss_latency_seconds", obs.UnitSeconds)
 	}
 	return l
 }
@@ -187,7 +185,7 @@ func (l *Loader) get(ctx context.Context, key uint64, sp *span.Span) (uint64, er
 		l.cfg.Fill(key, c.val)
 	}
 	if l.missLatency != nil {
-		l.missLatency.Observe(time.Since(start).Seconds())
+		l.missLatency.Observe(int64(time.Since(start)))
 	}
 
 	// Retire the flight before releasing waiters so a Get arriving after

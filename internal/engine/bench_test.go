@@ -13,7 +13,6 @@ import (
 	"github.com/p4lru/p4lru/internal/obs"
 	"github.com/p4lru/p4lru/internal/obs/span"
 	"github.com/p4lru/p4lru/internal/policy"
-	"github.com/p4lru/p4lru/internal/quantile"
 )
 
 // benchKeys is a shared Zipf-ish key stream: heavy-tailed like the traces,
@@ -206,9 +205,9 @@ func BenchmarkTiered(b *testing.B) {
 	b.Run("op=miss", func(b *testing.B) {
 		t := newTiered(b, nil)
 		ctx := context.Background()
-		// Serial on purpose: the per-op latency stream feeds one P²
-		// estimator, and a fresh key per iteration keeps every op a miss.
-		p50, p99 := quantile.New(0.5), quantile.New(0.99)
+		// Serial on purpose: one op's latency per Observe, and a fresh key
+		// per iteration keeps every op a miss.
+		lat := obs.NewHistogram(obs.UnitSeconds)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			key := uint64(1<<40) + uint64(i)
@@ -216,14 +215,12 @@ func BenchmarkTiered(b *testing.B) {
 			if _, _, _, err := t.GetOrLoad(ctx, key); err != nil {
 				b.Fatal(err)
 			}
-			ns := float64(time.Since(start).Nanoseconds())
-			p50.Add(ns)
-			p99.Add(ns)
+			lat.Observe(int64(time.Since(start)))
 		}
 		b.StopTimer()
-		if p50.Count() > 0 {
-			b.ReportMetric(p50.Value(), "p50-miss-ns")
-			b.ReportMetric(p99.Value(), "p99-miss-ns")
+		if s := lat.Snapshot(); s.Count > 0 {
+			b.ReportMetric(s.Quantile(0.5), "p50-miss-ns")
+			b.ReportMetric(s.Quantile(0.99), "p99-miss-ns")
 		}
 	})
 }

@@ -218,7 +218,7 @@ func New(cfg Config) (*Engine, error) {
 	if r := cfg.Obs; r != nil {
 		e.queries = r.Counter("engine_queries_total")
 		e.hits = r.Counter("engine_hits_total")
-		e.batchSize = r.Histogram("engine_batch_ops", batchBuckets(cfg.BatchSize))
+		e.batchSize = r.Histogram("engine_batch_ops", obs.UnitCount)
 		r.GaugeFunc("engine_shards", func() float64 { return float64(cfg.Shards) })
 	}
 	for i := range e.shards {
@@ -293,15 +293,6 @@ func NewFromSpec(spec policy.Spec, cfg Config) (*Engine, error) {
 	return New(cfg)
 }
 
-// batchBuckets is a ×2 ladder up to the configured batch size.
-func batchBuckets(max int) []float64 {
-	var b []float64
-	for v := 1; v < max; v *= 2 {
-		b = append(b, float64(v))
-	}
-	return append(b, float64(max))
-}
-
 // writer is a shard's single mutation goroutine: it applies whole batches
 // under one write-lock acquisition and recycles their buffers. It is
 // supervised: a panic inside one batch apply is recovered and accounted, and
@@ -339,7 +330,7 @@ func (e *Engine) writer(i int, s *shard) {
 			sp.SetFlags(span.FlagError)
 			sp.Finish(span.KindBatch)
 		}
-		e.batchSize.Observe(float64(n))
+		e.batchSize.Observe(int64(n))
 		e.pool.Put(batch[:0])
 	}
 }

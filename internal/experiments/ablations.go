@@ -134,16 +134,7 @@ func AblationEncoding(s Scale) []Figure {
 	enc := Series{Name: "encoded"}
 	gen := Series{Name: "generic"}
 	for _, c := range []int{2, 3, 4} {
-		var u lru.UnitCache[uint64]
-		switch c {
-		case 2:
-			u = lru.NewUnit2[uint64](nil)
-		case 3:
-			u = lru.NewUnit3[uint64](nil)
-		case 4:
-			u = lru.NewUnit4[uint64](nil)
-		}
-		enc.Points = append(enc.Points, Point{X: float64(c), Y: timeRun(u)})
+		enc.Points = append(enc.Points, Point{X: float64(c), Y: timeRun(lru.NewUnitCache[uint64](c, nil))})
 		gen.Points = append(gen.Points, Point{X: float64(c), Y: timeRun(lru.NewUnit[uint64](c, nil))})
 	}
 	fig.Series = []Series{enc, gen}

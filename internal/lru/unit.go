@@ -73,6 +73,20 @@ func NewUnit[V any](n int, merge MergeFunc[V]) *Unit[V] {
 	}
 }
 
+// NewUnitCache returns an empty unit of capacity n: the encoded data-plane
+// Unit2, Unit3 or Unit4 for n = 2, 3, 4, the generic Unit otherwise.
+func NewUnitCache[V any](n int, merge MergeFunc[V]) UnitCache[V] {
+	switch n {
+	case 2:
+		return NewUnit2(merge)
+	case 3:
+		return NewUnit3(merge)
+	case 4:
+		return NewUnit4(merge)
+	}
+	return NewUnit(n, merge)
+}
+
 // Len returns the number of occupied entries.
 func (u *Unit[V]) Len() int { return u.size }
 

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"github.com/p4lru/p4lru/internal/netproto/batchio"
-	"github.com/p4lru/p4lru/internal/quantile"
+	"github.com/p4lru/p4lru/internal/obs"
 )
 
 // Typed failure classes for exhausted query attempts, so callers holding a
@@ -299,6 +299,9 @@ func (c *Client) QueryBatch(keys []uint64, results []QueryResult) (int, error) {
 	if len(results) < len(keys) {
 		return 0, fmt.Errorf("netproto: QueryBatch: %d results for %d keys", len(results), len(keys))
 	}
+	// Zero every result first, so none left over from a caller's earlier
+	// batch survives a socket error part-way through this one.
+	clear(results[:len(keys)])
 	answered := 0
 	for base := 0; base < len(keys); base += c.cfg.Batch {
 		end := base + c.cfg.Batch
@@ -390,20 +393,16 @@ func (c *Client) queryWindow(keys []uint64, results []QueryResult) (int, error) 
 			}
 		}
 	}
-	for i := range keys {
-		if !done[i] {
-			results[i] = QueryResult{}
-		}
-	}
 	return answered, nil
 }
 
 // NextKey draws the next Zipf-popular key (1-based).
 func (c *Client) NextKey() uint64 { return c.zipf.Uint64() + 1 }
 
-// RunStats aggregates a Run. Latency is reported as streaming P² quantiles
-// (internal/quantile), not just a mean: the batched wire path's win shows
-// up in the tail, and a mean hides the retrans/backoff outliers entirely.
+// RunStats aggregates a Run. Latency is reported as quantiles of an
+// obs.Histogram (within 1/16 of exact), not just a mean: the batched wire
+// path's win shows up in the tail, and a mean hides the retrans/backoff
+// outliers entirely.
 type RunStats struct {
 	Queries  int
 	Cached   int
@@ -415,64 +414,52 @@ type RunStats struct {
 	P999     time.Duration
 }
 
-// latencyTrack is the per-run quantile state behind RunStats.
-type latencyTrack struct {
-	p50, p99, p999 *quantile.Estimator
-	total          time.Duration
-	n              int
-}
-
-func newLatencyTrack() *latencyTrack {
-	return &latencyTrack{p50: quantile.New(0.5), p99: quantile.New(0.99), p999: quantile.New(0.999)}
-}
-
-func (l *latencyTrack) observe(d time.Duration) {
-	l.n++
-	l.total += d
-	ns := float64(d)
-	l.p50.Add(ns)
-	l.p99.Add(ns)
-	l.p999.Add(ns)
-}
-
-func (l *latencyTrack) fill(st *RunStats) {
-	if l.n == 0 {
+// fillLatency summarises a run's latency histogram into st.
+func (st *RunStats) fillLatency(lat *obs.Histogram) {
+	s := lat.Snapshot()
+	if s.Count == 0 {
 		return
 	}
-	st.AvgRTT = l.total / time.Duration(l.n)
-	st.P50 = time.Duration(l.p50.Value())
-	st.P99 = time.Duration(l.p99.Value())
-	st.P999 = time.Duration(l.p999.Value())
+	st.AvgRTT = time.Duration(s.Sum / s.Count)
+	st.P50 = time.Duration(s.Quantile(0.5))
+	st.P99 = time.Duration(s.Quantile(0.99))
+	st.P999 = time.Duration(s.Quantile(0.999))
+}
+
+// count adds one answered query to the run's tallies.
+func (st *RunStats) count(res *QueryResult, lat *obs.Histogram) {
+	st.Queries++
+	lat.Observe(int64(res.Latency))
+	if res.Cached {
+		st.Cached++
+	}
+	if !res.Valid {
+		st.Invalid++
+	}
 }
 
 // Run performs count closed-loop queries.
 func (c *Client) Run(count int) RunStats {
 	var st RunStats
-	lat := newLatencyTrack()
+	lat := obs.NewHistogram(obs.UnitSeconds)
 	for i := 0; i < count; i++ {
 		res, err := c.Query(c.NextKey())
 		if err != nil {
 			st.Failures++
 			continue
 		}
-		st.Queries++
-		lat.observe(res.Latency)
-		if res.Cached {
-			st.Cached++
-		}
-		if !res.Valid {
-			st.Invalid++
-		}
+		st.count(&res, lat)
 	}
-	lat.fill(&st)
+	st.fillLatency(lat)
 	return st
 }
 
 // RunBatch performs count queries through the pipelined QueryBatch path,
-// cfg.Batch at a time — the open-loop ladder driver.
+// cfg.Batch at a time — the open-loop ladder driver. A socket error ends
+// the run early; the failing batch's answered queries still count.
 func (c *Client) RunBatch(count int) RunStats {
 	var st RunStats
-	lat := newLatencyTrack()
+	lat := obs.NewHistogram(obs.UnitSeconds)
 	keys := make([]uint64, c.cfg.Batch)
 	results := make([]QueryResult, c.cfg.Batch)
 	for served := 0; served < count; {
@@ -485,25 +472,16 @@ func (c *Client) RunBatch(count int) RunStats {
 		}
 		answered, err := c.QueryBatch(keys[:n], results[:n])
 		served += n
-		if err != nil {
-			st.Failures += n - answered
-			return st
-		}
 		st.Failures += n - answered
 		for i := 0; i < n; i++ {
-			if results[i].Key == 0 {
-				continue
-			}
-			st.Queries++
-			lat.observe(results[i].Latency)
-			if results[i].Cached {
-				st.Cached++
-			}
-			if !results[i].Valid {
-				st.Invalid++
+			if results[i].Key != 0 {
+				st.count(&results[i], lat)
 			}
 		}
+		if err != nil {
+			break
+		}
 	}
-	lat.fill(&st)
+	st.fillLatency(lat)
 	return st
 }

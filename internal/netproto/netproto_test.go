@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/p4lru/p4lru/internal/policy"
 )
@@ -333,6 +334,35 @@ func TestQueryBatchEndToEnd(t *testing.T) {
 	}
 	if st.Queries < 490 || st.Failures > 10 {
 		t.Fatalf("RunBatch completed %d/500 (failures %d)", st.Queries, st.Failures)
+	}
+}
+
+// TestRunBatchSocketErrorKeepsStats closes the client's socket under a
+// running RunBatch: the run must end with the queries answered before the
+// error counted and its latency summary filled.
+func TestRunBatchSocketErrorKeepsStats(t *testing.T) {
+	_, sw := startStack(t, 1000, 2, 128)
+	cl, err := NewClient(sw.Addr(), ClientConfig{Items: 1000, Skew: 1.1, Seed: 9, Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan RunStats, 1)
+	go func() { done <- cl.RunBatch(1 << 30) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for sw.Stats().Queries < 200 {
+		if time.Now().After(deadline) {
+			t.Fatal("switch saw fewer than 200 queries in 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.Close()
+	select {
+	case st := <-done:
+		if st.Queries == 0 || st.P50 <= 0 || st.AvgRTT <= 0 {
+			t.Fatalf("stats after a socket error: %+v", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunBatch did not return after its socket closed")
 	}
 }
 

@@ -10,60 +10,6 @@ import (
 	"strings"
 )
 
-// Exemplar links a histogram to one concrete captured trace: a recorded
-// value plus the span ID of the operation that produced it (resolvable on
-// the /debug/ops endpoint).
-type Exemplar struct {
-	Value  float64 `json:"value"`
-	SpanID uint64  `json:"span_id"`
-}
-
-// HistogramSnapshot is the exportable state of one histogram. Bounds holds
-// the finite upper bounds; Counts has one extra trailing entry for the
-// overflow (+Inf) bucket. The representation is JSON-safe (no ±Inf).
-type HistogramSnapshot struct {
-	Count    uint64    `json:"count"`
-	Sum      float64   `json:"sum"`
-	Bounds   []float64 `json:"bounds"`
-	Counts   []uint64  `json:"counts"`
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) of the recorded
-// distribution by linear interpolation inside the containing bucket —
-// Prometheus's histogram_quantile. The overflow bucket has no upper edge,
-// so a quantile landing there reports the largest finite bound (a known
-// underestimate). An empty histogram reports 0.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Bounds) == 0 || len(h.Counts) != len(h.Bounds)+1 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.Count)
-	cum := 0.0
-	for i, n := range h.Counts {
-		prev := cum
-		cum += float64(n)
-		if cum < target || n == 0 {
-			continue
-		}
-		if i == len(h.Bounds) {
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		return lo + (h.Bounds[i]-lo)*(target-prev)/float64(n)
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
 // Snapshot is a point-in-time copy of a registry, the payload of the JSON
 // exporter and the expvar publisher. Function gauges are evaluated at
 // snapshot time and folded into Gauges.
@@ -112,19 +58,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = fn() // functions are evaluated outside the lock
 	}
 	for name, h := range hists {
-		bounds, counts := h.snapshot()
-		bs := make([]float64, len(bounds))
-		copy(bs, bounds)
-		hs := HistogramSnapshot{
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-			Bounds: bs,
-			Counts: counts,
-		}
-		if v, id, ok := h.Exemplar(); ok {
-			hs.Exemplar = &Exemplar{Value: v, SpanID: id}
-		}
-		s.Histograms[name] = hs
+		s.Histograms[name] = h.Snapshot()
 	}
 	return s
 }
@@ -187,21 +121,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		h := s.Histograms[name]
 		base, labels := splitName(name)
 		emitType(base, "histogram")
+		// Only non-empty buckets are written: the layout is fixed, so a
+		// bucket's le never changes, and a count never returns to zero.
 		cum := uint64(0)
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			le := `le="` + formatFloat(bound) + `"`
+		for i, n := range h.Counts {
+			if n == 0 {
+				continue
+			}
+			cum += n
+			le := `le="` + formatFloat(h.Unit.export(BucketHigh(i))) + `"`
 			fmt.Fprintf(&b, "%s %d\n", withLabel(base+"_bucket", labels, le), cum)
 		}
 		fmt.Fprintf(&b, "%s %d\n", withLabel(base+"_bucket", labels, `le="+Inf"`), h.Count)
-		fmt.Fprintf(&b, "%s %s\n", withLabel(base+"_sum", labels, ""), formatFloat(h.Sum))
+		fmt.Fprintf(&b, "%s %s\n", withLabel(base+"_sum", labels, ""), formatFloat(h.Unit.export(h.Sum)))
 		fmt.Fprintf(&b, "%s %d\n", withLabel(base+"_count", labels, ""), h.Count)
 		if ex := h.Exemplar; ex != nil {
 			// Exemplars are emitted as a comment so version-0.0.4 text
 			// parsers (which predate OpenMetrics '#' exemplar syntax on the
 			// sample line) stay compatible; humans and our own tools read it.
 			fmt.Fprintf(&b, "# exemplar %s %s span_id=%d\n",
-				name, formatFloat(ex.Value), ex.SpanID)
+				name, formatFloat(h.Unit.export(ex.Value)), ex.SpanID)
 		}
 	}
 

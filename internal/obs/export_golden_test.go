@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenRegistry builds a deterministic registry exercising every exporter
 // feature: counters and gauges with and without labels, a histogram with
-// observations across buckets plus the overflow bucket, an attached
+// observations across six decades of buckets, an attached
 // exemplar, and label values that need text-format escaping.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
@@ -25,11 +25,11 @@ func goldenRegistry() *Registry {
 	r.Gauge("occupancy").Set(0.75)
 	r.Gauge(`queue_depth{shard="0"}`).Set(12)
 
-	h := r.Histogram("latency_seconds", []float64{0.001, 0.01, 0.1, 1})
+	h := r.Histogram("latency_seconds", UnitSeconds)
 	for _, v := range []float64{0.0005, 0.002, 0.003, 0.05, 0.5, 2.5} {
-		h.Observe(v)
+		h.Observe(int64(v * 1e9))
 	}
-	h.AttachExemplar(2.5, 7)
+	h.AttachExemplar(2.5e9, 7)
 	return r
 }
 
@@ -153,14 +153,14 @@ func TestLabelEscaping(t *testing.T) {
 // TestJSONExemplarRoundTrip verifies the snapshot carries the exemplar.
 func TestJSONExemplarRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("x_seconds", []float64{1})
-	h.Observe(0.5)
+	h := r.Histogram("x_seconds", UnitSeconds)
+	h.Observe(500)
 	if ex := r.Snapshot().Histograms["x_seconds"].Exemplar; ex != nil {
 		t.Fatalf("exemplar before attach: %+v", ex)
 	}
-	h.AttachExemplar(0.5, 99)
+	h.AttachExemplar(500, 99)
 	ex := r.Snapshot().Histograms["x_seconds"].Exemplar
-	if ex == nil || ex.SpanID != 99 || ex.Value != 0.5 {
+	if ex == nil || ex.SpanID != 99 || ex.Value != 500 {
 		t.Fatalf("exemplar after attach: %+v", ex)
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testRegistry() *Registry {
@@ -17,10 +19,10 @@ func testRegistry() *Registry {
 	r.Counter(`pipeline_cache_misses_total{array="nat"}`).Add(2)
 	r.Gauge("occupancy").Set(3.5)
 	r.GaugeFunc("derived", func() float64 { return 9 })
-	h := r.Histogram(`latency_seconds{sys="kv"}`, []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
+	h := r.Histogram(`latency_seconds{sys="kv"}`, UnitSeconds)
+	for _, d := range []time.Duration{50 * time.Millisecond, 500 * time.Millisecond, 5 * time.Second} {
+		h.Observe(int64(d))
+	}
 	return r
 }
 
@@ -59,8 +61,9 @@ func TestWritePrometheus(t *testing.T) {
 		"occupancy 3.5",
 		"derived 9",
 		"# TYPE latency_seconds histogram",
-		`latency_seconds_bucket{sys="kv",le="0.1"} 1`,
-		`latency_seconds_bucket{sys="kv",le="1"} 2`, // cumulative
+		// le is each occupied bucket's largest value, in seconds.
+		`latency_seconds_bucket{sys="kv",le="0.050331647"} 1`,
+		`latency_seconds_bucket{sys="kv",le="0.503316479"} 2`, // cumulative
 		`latency_seconds_bucket{sys="kv",le="+Inf"} 3`,
 		`latency_seconds_sum{sys="kv"} 5.55`,
 		`latency_seconds_count{sys="kv"} 3`,
@@ -174,36 +177,50 @@ func TestHandler(t *testing.T) {
 
 func TestHistogramSnapshotQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("q", []float64{10, 20, 40, 80})
-	// 10 samples in (10,20], 10 in (20,40].
+	h := r.Histogram("q", UnitCount)
+	// 10 samples of 15 (a one-value bucket) and 10 of 300 (bucket 288..303).
 	for i := 0; i < 10; i++ {
 		h.Observe(15)
-		h.Observe(30)
+		h.Observe(300)
 	}
 	snap := r.Snapshot().Histograms["q"]
-
-	if got := snap.Quantile(0.5); got != 20 {
-		t.Errorf("Quantile(0.5) = %v, want 20 (bucket edge)", got)
-	}
-	if got := snap.Quantile(0.25); got != 15 {
-		t.Errorf("Quantile(0.25) = %v, want 15 (interpolated)", got)
-	}
-	if got := snap.Quantile(0.75); got != 30 {
-		t.Errorf("Quantile(0.75) = %v, want 30 (interpolated)", got)
-	}
-	if got := snap.Quantile(1); got != 40 {
-		t.Errorf("Quantile(1) = %v, want 40", got)
+	if lo, hi := bucketLow(BucketOf(300)), BucketHigh(BucketOf(300)); lo != 288 || hi != 303 {
+		t.Fatalf("bucket of 300 = [%d, %d], want [288, 303]", lo, hi)
 	}
 
-	// Quantiles landing in the overflow bucket report the largest finite
-	// bound rather than inventing an upper edge.
-	h.Observe(1000)
+	if got := snap.Quantile(0.5); got != 15 {
+		t.Errorf("Quantile(0.5) = %v, want 15 (exact one-value bucket)", got)
+	}
+	if got := snap.Quantile(0.75); got != 295.5 {
+		t.Errorf("Quantile(0.75) = %v, want 295.5 (5th of 10 in 288..303)", got)
+	}
+	if got := snap.Quantile(1); got != 303 {
+		t.Errorf("Quantile(1) = %v, want 303 (bucket top)", got)
+	}
+	if got := snap.UpperBound(0.5); got != 15 {
+		t.Errorf("UpperBound(0.5) = %v, want 15", got)
+	}
+	if got := snap.UpperBound(0.51); got != 303 {
+		t.Errorf("UpperBound(0.51) = %v, want 303", got)
+	}
+
+	// Every value has a bucket: nothing lands past an overflow guess.
+	h.Observe(math.MaxInt64)
 	snap = r.Snapshot().Histograms["q"]
-	if got := snap.Quantile(0.999); got != 80 {
-		t.Errorf("overflow Quantile = %v, want 80", got)
+	if got := snap.UpperBound(1); got < math.MaxInt64 {
+		t.Errorf("UpperBound(1) = %v, want ≥ MaxInt64", got)
 	}
 
 	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
+	}
+
+	// Sub leaves only what was observed after the base snapshot.
+	base := h.Snapshot()
+	h.Observe(15)
+	d := h.Snapshot()
+	d.Sub(&base)
+	if d.Count != 1 || d.Sum != 15 || d.Counts[BucketOf(15)] != 1 {
+		t.Errorf("Sub = count %d sum %d, want one observation of 15", d.Count, d.Sum)
 	}
 }

@@ -1,5 +1,5 @@
 // Package obs is the repository's observability substrate: cheap atomic
-// counters, gauges and fixed-bucket histograms organized in named registries,
+// counters, gauges and log-linear histograms organized in named registries,
 // plus a virtual-time event tracer (ring buffer) and exporters (Prometheus
 // text format, JSON snapshot, expvar, HTTP with pprof).
 //
@@ -21,9 +21,7 @@
 package obs
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,95 +92,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket histogram: cumulative observation counts per
-// upper bound plus a sum. Buckets are chosen at registration time and never
-// change, so Observe is a short linear scan plus two atomic adds.
-type Histogram struct {
-	bounds []float64 // ascending finite upper bounds; +Inf bucket is implicit
-	counts []atomic.Uint64
-	sum    atomic.Uint64 // float64 bit pattern, CAS-accumulated
-	count  atomic.Uint64
-	exVal  atomic.Uint64 // exemplar value, float64 bit pattern
-	exID   atomic.Uint64 // exemplar span id (0 = none attached yet)
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// AttachExemplar pins a representative observation to the histogram: the
-// value and the span ID of a captured trace that exhibits it. The exporter
-// surfaces the pair so a scraped quantile can be chased back to a concrete
-// waterfall on /debug/ops. Last writer wins — two atomic stores, no lock,
-// safe (and cheap) from the record path.
-func (h *Histogram) AttachExemplar(v float64, spanID uint64) {
-	if h == nil || spanID == 0 {
-		return
-	}
-	h.exVal.Store(math.Float64bits(v))
-	h.exID.Store(spanID)
-}
-
-// Exemplar returns the last attached (value, span ID), or ok=false if none
-// was ever attached.
-func (h *Histogram) Exemplar() (v float64, spanID uint64, ok bool) {
-	if h == nil {
-		return 0, 0, false
-	}
-	id := h.exID.Load()
-	if id == 0 {
-		return 0, 0, false
-	}
-	return math.Float64frombits(h.exVal.Load()), id, true
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// snapshot returns (finite bounds, per-bucket counts incl. overflow).
-func (h *Histogram) snapshot() ([]float64, []uint64) {
-	counts := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return h.bounds, counts
-}
-
-// DefBuckets is a general-purpose latency bucket ladder in seconds,
-// mirroring the Prometheus client default.
-var DefBuckets = []float64{
-	.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
-}
-
 // Label renders one `key="value"` label pair with the value escaped per the
 // Prometheus text exposition rules (backslash, double quote, newline), for
 // embedding in metric names: r.Counter("hits_total{" + obs.Label("store", spec) + "}").
@@ -205,20 +114,6 @@ func Label(key, value string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
-}
-
-// ExponentialBuckets returns n bounds starting at start, multiplying by
-// factor: the usual way to cover several decades of latency or size.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic(fmt.Sprintf("obs: bad ExponentialBuckets(%v, %v, %d)", start, factor, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
 }
 
 // Registry is a named set of metrics. Lookup is get-or-create and safe for
@@ -287,9 +182,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it with
-// the given finite upper bounds (ascending) if absent. Bounds are fixed at
-// first registration; later calls with different bounds return the original.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// export unit u if absent. The unit is fixed at first registration; later
+// calls return the original.
+func (r *Registry) Histogram(name string, u Unit) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -302,13 +197,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		if len(bounds) == 0 {
-			bounds = DefBuckets
-		}
-		bs := make([]float64, len(bounds))
-		copy(bs, bounds)
-		sort.Float64s(bs)
-		h = &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
+		h = NewHistogram(u)
 		r.hists[name] = h
 	}
 	return h

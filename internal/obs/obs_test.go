@@ -44,63 +44,29 @@ func TestGauge(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500} {
+	h := r.Histogram("h", UnitCount)
+	for _, v := range []int64{1, 10, 100, 1000, -5} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("Count = %d, want 5", got)
+	s := h.Snapshot()
+	if s.Count != 5 || s.Sum != 1111 {
+		t.Fatalf("Count, Sum = %d, %d, want 5, 1111", s.Count, s.Sum)
 	}
-	if got := h.Sum(); got != 556.5 {
-		t.Fatalf("Sum = %v, want 556.5", got)
-	}
-	bounds, counts := h.snapshot()
-	if len(bounds) != 3 || len(counts) != 4 {
-		t.Fatalf("snapshot shape: %d bounds, %d counts", len(bounds), len(counts))
-	}
-	// Bucket semantics: le=1 gets {0.5, 1}, le=10 gets {5}, le=100 gets
-	// {50}, overflow gets {500}.
-	want := []uint64{2, 1, 1, 1}
-	for i, w := range want {
-		if counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, counts[i], w, counts)
+	// Each value lands in its own bucket; the negative one records as 0.
+	for _, v := range []uint64{0, 1, 10, 100, 1000} {
+		if got := s.Counts[BucketOf(v)]; got != 1 {
+			t.Fatalf("bucket of %d = %d, want 1 (counts %v)", v, got, s.Counts)
 		}
+	}
+	if len(s.Counts) != BucketOf(1000)+1 {
+		t.Fatalf("trailing empty buckets not trimmed: %d counts", len(s.Counts))
 	}
 
 	var nilH *Histogram
 	nilH.Observe(1)
-	if nilH.Count() != 0 || nilH.Sum() != 0 {
+	if s := nilH.Snapshot(); s.Count != 0 || s.Sum != 0 {
 		t.Fatal("nil histogram should be a no-op")
 	}
-}
-
-func TestHistogramSortsBounds(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{100, 1, 10})
-	h.Observe(5)
-	bounds, counts := h.snapshot()
-	if bounds[0] != 1 || bounds[1] != 10 || bounds[2] != 100 {
-		t.Fatalf("bounds not sorted: %v", bounds)
-	}
-	if counts[1] != 1 {
-		t.Fatalf("5 should land in le=10, counts %v", counts)
-	}
-}
-
-func TestExponentialBuckets(t *testing.T) {
-	got := ExponentialBuckets(1, 10, 4)
-	want := []float64{1, 10, 100, 1000}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExponentialBuckets = %v, want %v", got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExponentialBuckets(0, 2, 3) should panic")
-		}
-	}()
-	ExponentialBuckets(0, 2, 3)
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -113,19 +79,18 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("Gauge should return the same handle for the same name")
 	}
-	h1 := r.Histogram("h", []float64{1, 2})
-	h2 := r.Histogram("h", []float64{5, 6, 7}) // bounds fixed at first registration
+	h1 := r.Histogram("h", UnitCount)
+	h2 := r.Histogram("h", UnitSeconds) // unit fixed at first registration
 	if h1 != h2 {
 		t.Fatal("Histogram should return the same handle for the same name")
 	}
-	bounds, _ := h2.snapshot()
-	if len(bounds) != 2 || bounds[0] != 1 {
-		t.Fatalf("bounds changed on re-registration: %v", bounds)
+	if u := h2.Snapshot().Unit; u != UnitCount {
+		t.Fatalf("unit changed on re-registration: %v", u)
 	}
 
 	// A nil registry hands out nil (no-op) handles.
 	var nilR *Registry
-	if nilR.Counter("c") != nil || nilR.Gauge("g") != nil || nilR.Histogram("h", nil) != nil {
+	if nilR.Counter("c") != nil || nilR.Gauge("g") != nil || nilR.Histogram("h", UnitSeconds) != nil {
 		t.Fatal("nil registry should return nil handles")
 	}
 	nilR.GaugeFunc("f", func() float64 { return 1 })
@@ -167,11 +132,11 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("hammer_total")
 			g := r.Gauge("hammer_gauge")
-			h := r.Histogram("hammer_hist", []float64{0.25, 0.5, 0.75})
+			h := r.Histogram("hammer_hist", UnitCount)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i%4) / 4)
+				h.Observe(int64(i % 4))
 				if i%1000 == 0 { // exercise concurrent readers too
 					_ = r.Snapshot()
 				}
@@ -187,8 +152,9 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Gauge("hammer_gauge").Value(); got != float64(want) {
 		t.Fatalf("gauge = %v, want %d", got, want)
 	}
-	if got := r.Histogram("hammer_hist", nil).Count(); got != want {
-		t.Fatalf("histogram count = %d, want %d", got, want)
+	hs := r.Histogram("hammer_hist", UnitCount).Snapshot()
+	if hs.Count != want || hs.Sum != want/4*(0+1+2+3) {
+		t.Fatalf("histogram count, sum = %d, %d, want %d, %d", hs.Count, hs.Sum, want, want/4*6)
 	}
 }
 
@@ -199,7 +165,7 @@ func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total")
 	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1, 2, 4, 8})
+	h := r.Histogram("h", UnitSeconds)
 	var nilC *Counter
 	var nilH *Histogram
 
@@ -229,10 +195,18 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
+// BenchmarkHistogramObserve records from every core at once, spreading
+// values over ~16 octaves of buckets; make bench gates it at zero allocs.
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("bench_hist", ExponentialBuckets(1e-6, 2, 12))
+	h := NewRegistry().Histogram("bench_seconds", UnitSeconds)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(1e-4)
-	}
+	b.RunParallel(func(pb *testing.PB) {
+		v := uint64(0x9e3779b97f4a7c15)
+		for pb.Next() {
+			v ^= v << 13
+			v ^= v >> 7
+			v ^= v << 17
+			h.Observe(int64(v >> 48))
+		}
+	})
 }

@@ -17,7 +17,11 @@
 //   - per-shard lock-free ring buffers of captured Records under tail
 //     sampling: every op slower than a live-updated p99 threshold is kept,
 //     plus one uniform exemplar every SampleN ops, so the rings hold the
-//     interesting tail without retaining millions of hits;
+//     interesting tail without retaining millions of hits. The threshold
+//     is the upper edge of the p99's bucket in the tracer's own total
+//     histogram minus a base snapshot; every RecalcEvery ops the base
+//     moves halfway to the counts, so older ops weigh half as much per
+//     round;
 //   - the /debug/ops HTTP handler (see handler.go), which dumps the slowest
 //     captured traces as JSON waterfalls.
 //
@@ -38,8 +42,8 @@ package span
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -338,9 +342,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// latBucketCount covers log2(total ns) for any int64 duration.
-const latBucketCount = 65
-
 // Tracer owns the rings, the sampling state and the stage histograms. A nil
 // *Tracer is a valid disabled tracer: every method no-ops, so call sites
 // need no nil checks beyond the Enabled gate they already take.
@@ -353,22 +354,21 @@ type Tracer struct {
 	nextID      atomic.Uint64
 	uniformTick atomic.Uint64
 
-	// Live tail threshold: a coarse log2-ns histogram of recent totals,
-	// decayed by half at every recalculation so the threshold tracks the
+	// Live tail threshold, read from totalHist minus a base snapshot. Each
+	// recalculation moves the base halfway to the counts, halving the
+	// weight of everything seen so far, so the threshold tracks the
 	// current workload rather than the all-time distribution.
-	tailNS     atomic.Int64
-	latOps     atomic.Uint64
-	latBuckets [latBucketCount]atomic.Uint64
+	tailNS   atomic.Int64
+	latOps   atomic.Uint64
+	recalcMu sync.Mutex
+	window   obs.HistogramSnapshot // scratch: counts minus base (recalcMu)
+	base     obs.HistogramSnapshot // decay base, NumBuckets long (recalcMu)
 
 	recorded  *obs.Counter // every finished span
 	captured  *obs.Counter // spans written to a ring
 	totalHist *obs.Histogram
 	stageHist [NumStages]*obs.Histogram
 }
-
-// stageBuckets covers 250ns .. ~4s in ×4 steps — the whole range from a
-// shard-local query to a full retry-budget miss failure.
-func stageBuckets() []float64 { return obs.ExponentialBuckets(250e-9, 4, 13) }
 
 // New builds a Tracer. It starts disabled; call SetEnabled(true) to record.
 func New(cfg Config) *Tracer {
@@ -385,24 +385,28 @@ func New(cfg Config) *Tracer {
 	// Until the first recalculation there is no distribution to threshold
 	// against; only uniform exemplars capture.
 	t.tailNS.Store(math.MaxInt64)
-	// Stats() needs the counters even with no registry; the histograms stay
-	// nil (nil-safe no-ops) in that case.
+	// Stats() and the tail threshold need the counters and the total
+	// histogram even with no registry; the stage histograms stay nil
+	// (nil-safe no-ops) in that case.
 	t.recorded = &obs.Counter{}
 	t.captured = &obs.Counter{}
+	t.totalHist = obs.NewHistogram(obs.UnitSeconds)
+	t.window.Counts = make([]uint64, 0, obs.NumBuckets)
+	t.base.Counts = make([]uint64, obs.NumBuckets)
 	if r := cfg.Obs; r != nil {
 		t.recorded = r.Counter("span_ops_total")
 		t.captured = r.Counter("span_captured_total")
-		t.totalHist = r.Histogram("span_total_seconds", stageBuckets())
+		t.totalHist = r.Histogram("span_total_seconds", obs.UnitSeconds)
 		for i := Stage(0); i < NumStages; i++ {
 			t.stageHist[i] = r.Histogram(
-				"span_stage_seconds{stage=\""+stageNames[i]+"\"}", stageBuckets())
+				"span_stage_seconds{stage=\""+stageNames[i]+"\"}", obs.UnitSeconds)
 		}
 		r.GaugeFunc("span_tail_threshold_seconds", func() float64 {
 			thr := t.tailNS.Load()
 			if thr == math.MaxInt64 {
 				return 0
 			}
-			return float64(thr) * 1e-9
+			return float64(thr) / 1e9
 		})
 	}
 	return t
@@ -503,18 +507,15 @@ func (t *Tracer) finish(rec *Record) {
 	t.recorded.Inc()
 	for i := Stage(0); i < NumStages; i++ {
 		if d := rec.Stages[i]; d > 0 {
-			t.stageHist[i].Observe(float64(d) * 1e-9)
+			t.stageHist[i].Observe(d)
 		}
 	}
-	t.totalHist.Observe(float64(rec.Total) * 1e-9)
-
-	b := bits.Len64(uint64(rec.Total))
-	t.latBuckets[b].Add(1)
+	t.totalHist.Observe(rec.Total)
 	if n := t.latOps.Add(1); n%uint64(t.cfg.RecalcEvery) == 0 {
 		t.recalcThreshold()
 	}
 
-	tail := rec.Total >= t.tailNS.Load()
+	tail := rec.Total > t.tailNS.Load()
 	uniform := t.cfg.SampleN > 0 && t.uniformTick.Add(1)%uint64(t.cfg.SampleN) == 0
 	if !tail && !uniform {
 		return
@@ -532,8 +533,7 @@ func (t *Tracer) finish(rec *Record) {
 	// Exemplar attachment: the total histogram and the op's dominant stage
 	// both point at this capture, so a scraped quantile can be chased to
 	// the exact waterfall on /debug/ops.
-	sec := float64(rec.Total) * 1e-9
-	t.totalHist.AttachExemplar(sec, rec.ID)
+	t.totalHist.AttachExemplar(rec.Total, rec.ID)
 	var maxStage Stage
 	var maxNS int64
 	for i := Stage(0); i < NumStages; i++ {
@@ -543,45 +543,30 @@ func (t *Tracer) finish(rec *Record) {
 		}
 	}
 	if maxNS > 0 {
-		t.stageHist[maxStage].AttachExemplar(float64(maxNS)*1e-9, rec.ID)
+		t.stageHist[maxStage].AttachExemplar(maxNS, rec.ID)
 	}
 }
 
-// recalcThreshold re-derives the tail threshold from the coarse log2
-// histogram and decays it by half, so the threshold follows the recent
-// distribution. The bucket upper edge overestimates the true quantile by at
-// most 2x — deliberately conservative: a too-high threshold captures fewer,
-// strictly slower ops.
+// recalcThreshold sets the tail threshold to the upper edge of the
+// TailPct-quantile's bucket in the decayed window (counts minus base), then
+// moves the base halfway to the counts. The edge overestimates the quantile
+// by at most 1/16 — deliberately conservative: a too-high threshold
+// captures fewer, strictly slower ops. Allocation-free; a finisher that
+// finds another already recalculating skips the round.
 func (t *Tracer) recalcThreshold() {
-	var counts [latBucketCount]uint64
-	var total uint64
-	for i := range t.latBuckets {
-		c := t.latBuckets[i].Load()
-		counts[i] = c
-		total += c
-	}
-	if total == 0 {
+	if !t.recalcMu.TryLock() {
 		return
 	}
-	target := uint64(float64(total) * t.cfg.TailPct)
-	var cum uint64
-	thr := int64(math.MaxInt64)
-	for i, c := range counts {
-		cum += c
-		if cum > target {
-			if i >= 63 {
-				thr = math.MaxInt64
-			} else {
-				thr = int64(1) << uint(i)
-			}
-			break
-		}
+	defer t.recalcMu.Unlock()
+	t.totalHist.Load(&t.window)
+	t.window.Sub(&t.base)
+	if t.window.Count == 0 {
+		return
 	}
-	t.tailNS.Store(thr)
-	for i := range t.latBuckets {
-		if h := counts[i] / 2; h > 0 {
-			t.latBuckets[i].Add(^(h - 1)) // subtract what we observed: safe under concurrent Adds
-		}
+	t.tailNS.Store(int64(min(t.window.UpperBound(t.cfg.TailPct), math.MaxInt64)))
+	for i, c := range t.window.Counts {
+		t.base.Counts[i] += c / 2
+		t.base.Count += c / 2
 	}
 }
 

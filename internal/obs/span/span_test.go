@@ -1,6 +1,8 @@
 package span
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +153,53 @@ func TestTailSampling(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("slow op not in ring snapshot")
+	}
+}
+
+// TestTailThresholdHalvingDecay replays a seeded latency stream whose
+// distribution shifts part-way and checks every recalculated threshold
+// against the halving model: per-bucket counts, each halved after it sets
+// the threshold, which is the upper edge of the TailPct-quantile's bucket.
+// The exported total histogram keeps every observation.
+func TestTailThresholdHalvingDecay(t *testing.T) {
+	const every, rounds, pct = 64, 40, 0.99
+	reg := obs.NewRegistry()
+	tr := New(Config{SampleN: -1, RecalcEvery: every, TailPct: pct, Obs: reg})
+	rng := rand.New(rand.NewSource(7))
+	var model [obs.NumBuckets]uint64
+	for i := 0; i < every*rounds; i++ {
+		mean := 1000.0 // ~1µs ops, then ~50µs from round 20 on
+		if i >= every*rounds/2 {
+			mean = 50_000
+		}
+		total := int64(rng.ExpFloat64() * mean)
+		tr.finish(&Record{Total: total, Kind: KindHit})
+		model[obs.BucketOf(uint64(total))]++
+		if (i+1)%every != 0 {
+			continue
+		}
+		var n uint64
+		for _, c := range model {
+			n += c
+		}
+		rank := uint64(math.Ceil(pct * float64(n)))
+		var want uint64
+		for b, c := range model {
+			if rank <= c {
+				want = obs.BucketHigh(b)
+				break
+			}
+			rank -= c
+		}
+		for b := range model {
+			model[b] -= model[b] / 2
+		}
+		if got := tr.TailThreshold(); got != time.Duration(want) {
+			t.Fatalf("round %d: threshold %v, halving model %v", (i+1)/every, got, time.Duration(want))
+		}
+	}
+	if got := reg.Snapshot().Histograms["span_total_seconds"].Count; got != every*rounds {
+		t.Fatalf("span_total_seconds count = %d, want every observation (%d)", got, every*rounds)
 	}
 }
 

@@ -95,17 +95,7 @@ type P4LRU struct {
 // NewP4LRU builds an array of numUnits P4LRU units of capacity unitCap
 // (1–4 use the data-plane implementations; larger n uses the generic unit).
 func NewP4LRU(unitCap, numUnits int, seed uint64, merge MergeFunc) *P4LRU {
-	var newUnit func() lru.UnitCache[uint64]
-	switch unitCap {
-	case 2:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit2[uint64](merge) }
-	case 3:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit3[uint64](merge) }
-	case 4:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit4[uint64](merge) }
-	default:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit[uint64](unitCap, merge) }
-	}
+	newUnit := func() lru.UnitCache[uint64] { return lru.NewUnitCache(unitCap, merge) }
 	return &P4LRU{arr: lru.NewArray(numUnits, seed, newUnit), unitCap: unitCap}
 }
 
@@ -149,17 +139,7 @@ func NewSeries(levels, numUnits int, seed uint64, merge MergeFunc) *Series {
 // NewSeriesUnitCap builds a series with configurable per-unit capacity
 // (1, 2, 3 or 4) — Figure 16(a)/(b) sweeps this.
 func NewSeriesUnitCap(unitCap, levels, numUnits int, seed uint64, merge MergeFunc) *Series {
-	var newUnit func() lru.UnitCache[uint64]
-	switch unitCap {
-	case 2:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit2[uint64](merge) }
-	case 3:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit3[uint64](merge) }
-	case 4:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit4[uint64](merge) }
-	default:
-		newUnit = func() lru.UnitCache[uint64] { return lru.NewUnit[uint64](unitCap, merge) }
-	}
+	newUnit := func() lru.UnitCache[uint64] { return lru.NewUnitCache(unitCap, merge) }
 	return &Series{s: lru.NewSeries(levels, numUnits, seed, newUnit)}
 }
 
